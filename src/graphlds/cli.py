@@ -22,29 +22,16 @@ from .ensembles import (
     sample_holder_ensemble,
     simulate,
 )
-from .graphs import (
-    GraphKind,
-    complete_graph,
-    load_edge_list,
-    path_graph,
-    star_graph,
-)
+from .graphs import load_edge_list, named_graph
 
 
 def _graph_from_args(args, m: int):
-    if args.graph_file:
-        g = load_edge_list(args.graph_file)
-        if g.m != m:
-            raise SystemExit(f"graph file has m={g.m}, data has m={m}")
-        return g
-    kind = GraphKind(args.graph)
-    if kind == GraphKind.PATH:
-        return path_graph(m)
-    if kind == GraphKind.COMPLETE:
-        return complete_graph(m)
-    if kind == GraphKind.STAR:
-        return star_graph(m)
-    raise SystemExit("custom graphs need --graph-file")
+    if not args.graph_file:
+        return named_graph(args.graph, m)
+    g = load_edge_list(args.graph_file)
+    if g.m != m:
+        raise SystemExit(f"graph file has m={g.m}, data has m={m}")
+    return g
 
 
 def _cmd_simulate(args) -> int:
@@ -69,13 +56,7 @@ def _cmd_estimate(args) -> int:
     bundle = serialize.load_bundle(args.bundle)
     g = _graph_from_args(args, bundle.m)
     truth = serialize.load_ensemble(args.truth) if args.truth else None
-    method = est.Method(args.method)
-    config = est.EstimatorConfig(
-        method=method,
-        lam=args.lam,
-        tau=args.tau,
-        use_preconditioner=args.preconditioner,
-    )
+    config = est.EstimatorConfig(est.Method(args.method), lam=args.lam, tau=args.tau)
     result = est.estimate(bundle, g, config, truth=truth,
                           gamma_delta=args.delta, gamma_r=args.r)
     serialize.save_estimates(args.out, result)
@@ -142,8 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=[m.value for m in est.Method], required=True)
     p.add_argument("--lam", type=float, help="penalty weight (laplacian method)")
     p.add_argument("--tau", type=int, help="subspace size (subspace method)")
-    p.add_argument("--preconditioner", action="store_true",
-                   help="block-Jacobi preconditioning for the iterative solve")
     p.add_argument("--truth", help="ensemble file; adds MSE and gamma diagnostics")
     p.add_argument("--delta", type=float, default=0.1, help="confidence level for gamma1")
     p.add_argument("--r", type=float, default=1.0, help="subgaussian proxy constant")

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import SystemEnsemble, TrajectoryBundle
-from .graphs import GraphTopology, LaplacianSpectrum, build_laplacian, quadratic_variation
+from .ensembles import SystemEnsemble, TrajectoryBundle, gamma_diagnostics
+from .graphs import (GraphTopology, LaplacianSpectrum, build_laplacian,
+                     quadratic_variation, spectrum)
 from .solver import (
-    DEFAULT_DENSE_THRESHOLD,
     DEFAULT_SOLVE_TOL,
     GramBlocks,
     PenalizedOperator,
@@ -45,9 +45,7 @@ class EstimatorConfig:
     tau: int | None = None
     solve_tol: float = DEFAULT_SOLVE_TOL
     max_iter: int | None = None
-    dense_threshold: int = DEFAULT_DENSE_THRESHOLD
     rank_tol: float | None = None
-    use_preconditioner: bool = False
 
     def __post_init__(self):
         if self.method == Method.LAPLACIAN_SMOOTHING:
@@ -87,24 +85,32 @@ def smoothing_objective(bundle: TrajectoryBundle, g: GraphTopology,
     return fit + lam * quadratic_variation(mats, g)
 
 
+def mse(estimate: EstimateSet | np.ndarray, truth: SystemEnsemble) -> float:
+    """Average squared Frobenius estimation error over nodes."""
+    mats = np.asarray(getattr(estimate, "mats", estimate), dtype=float)
+    if mats.shape != truth.mats.shape:
+        raise ValueError(f"shape mismatch: {mats.shape} vs {truth.mats.shape}")
+    err = mats - truth.mats
+    return float(np.sum(err * err) / mats.shape[0])
+
+
 def _with_truth(diag: dict, mats: np.ndarray, truth: SystemEnsemble | None) -> dict:
     if truth is not None:
-        err = mats - truth.mats
-        mse = float(np.sum(err * err) / mats.shape[0])
-        diag["mse"] = mse
-        diag["rmse"] = math.sqrt(mse)
+        diag["mse"] = mse(mats, truth)
+        diag["rmse"] = math.sqrt(diag["mse"])
     return diag
 
 
 def laplacian_smoothing(bundle: TrajectoryBundle, g: GraphTopology, lam: float,
                         solve_tol: float = DEFAULT_SOLVE_TOL,
                         max_iter: int | None = None,
-                        dense_threshold: int = DEFAULT_DENSE_THRESHOLD,
-                        use_preconditioner: bool = False,
                         truth: SystemEnsemble | None = None) -> EstimateSet:
     """Penalized least squares: data fit plus lam times the quadratic
     variation across edges. Solves the SPD normal equations
-    (blkdiag(Y_l (x) I_d) + lam L (x) I_{d^2}) a = stacked cross-moments.
+    (blkdiag(Y_l (x) I_d) + lam L (x) I_{d^2}) a = stacked cross-moments
+    through solve_spd: a banded Cholesky of their row split (path graphs,
+    any graph at lam = 0), else conjugate gradients to relative residual
+    solve_tol within max_iter iterations; diagnostics["solver"] says which.
 
     Raises SingularSystemError when the operator is singular (e.g.
     lam = 0 with rank-deficient per-node Gram matrices).
@@ -115,9 +121,7 @@ def laplacian_smoothing(bundle: TrajectoryBundle, g: GraphTopology, lam: float,
         raise ValueError(f"bundle has m={bundle.m}, graph has m={g.m}")
     blocks = gram_blocks(bundle)
     op = PenalizedOperator(blocks=blocks, laplacian=build_laplacian(g), lam=lam)
-    a, info = solve_spd(op, blocks.rhs(), tol=solve_tol, max_iter=max_iter,
-                        dense_threshold=dense_threshold,
-                        use_preconditioner=use_preconditioner)
+    a, info = solve_spd(op, blocks.rhs(), tol=solve_tol, max_iter=max_iter)
     mats = unstack_mats(a, bundle.m, bundle.d)
     diag = {
         "method": Method.LAPLACIAN_SMOOTHING.value,
@@ -219,11 +223,9 @@ def estimate(bundle: TrajectoryBundle, g: GraphTopology, config: EstimatorConfig
     if config.method == Method.LAPLACIAN_SMOOTHING:
         result = laplacian_smoothing(
             bundle, g, config.lam, solve_tol=config.solve_tol,
-            max_iter=config.max_iter, dense_threshold=config.dense_threshold,
-            use_preconditioner=config.use_preconditioner, truth=truth)
+            max_iter=config.max_iter, truth=truth)
     elif config.method == Method.SUBSPACE_LS:
         if spec is None:
-            from .graphs import spectrum
             spec = spectrum(build_laplacian(g))
         result = subspace_ls(bundle, spec, config.tau, rank_tol=config.rank_tol,
                              truth=truth)
@@ -234,7 +236,6 @@ def estimate(bundle: TrajectoryBundle, g: GraphTopology, config: EstimatorConfig
     else:
         raise ValueError(f"unknown method {config.method}")
     if truth is not None:
-        from .ensembles import gamma_diagnostics
         gam = gamma_diagnostics(truth, bundle.horizon, delta=gamma_delta, r=gamma_r)
         result.diagnostics.update(
             gamma1=gam.gamma1, gamma2=gam.gamma2, gamma3=gam.gamma3)

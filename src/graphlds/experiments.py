@@ -32,30 +32,12 @@ from .ensembles import (
     sample_holder_ensemble,
     simulate,
 )
-from .estimators import EstimateSet, LambdaRule, Method, TauRule, lambda_rule, tau_rule
-from .graphs import (
-    GraphKind,
-    GraphTopology,
-    build_laplacian,
-    complete_graph,
-    path_graph,
-    spectrum,
-    star_graph,
-)
+from .estimators import LambdaRule, Method, TauRule, lambda_rule, mse, tau_rule
+from .graphs import GraphKind, build_laplacian, named_graph, spectrum
 
 PLAN_SCHEMA_VERSION = 1
 CSV_HEADER = ["m", "trial", "method", "hyper", "rmse", "mse",
               "wall_time_ms", "seed", "status"]
-
-
-def mse(estimate: EstimateSet | np.ndarray, truth: SystemEnsemble) -> float:
-    """Average squared Frobenius estimation error over nodes."""
-    mats = getattr(estimate, "mats", estimate)
-    mats = np.asarray(mats, dtype=float)
-    if mats.shape != truth.mats.shape:
-        raise ValueError(f"shape mismatch: {mats.shape} vs {truth.mats.shape}")
-    err = mats - truth.mats
-    return float(np.sum(err * err) / mats.shape[0])
 
 
 def rmse(estimate, truth: SystemEnsemble) -> float:
@@ -214,16 +196,6 @@ def trial_seed(master_seed: int, m: int, trial: int) -> int:
     return int.from_bytes(ss.generate_state(4).tobytes(), "little")
 
 
-def _graph_for(kind: GraphKind, m: int) -> GraphTopology:
-    if kind == GraphKind.PATH:
-        return path_graph(m)
-    if kind == GraphKind.COMPLETE:
-        return complete_graph(m)
-    if kind == GraphKind.STAR:
-        return star_graph(m)
-    raise ValueError("experiment plans support the path, complete, and star families")
-
-
 # confidence knob for rule-derived hyperparameters inside plans; the
 # library rules take it explicitly
 RULE_DELTA = 0.1
@@ -260,7 +232,7 @@ def run_trial(plan: ExperimentPlan, m: int, trial: int,
     """Run every method of the plan on one freshly simulated trial."""
     truth = normalize_spectral_radius(
         sample_holder_ensemble(m, plan.d, plan.beta, family="benchmark"))
-    g = _graph_for(plan.graph, m)
+    g = named_graph(plan.graph, m)
     spec = spectrum(build_laplacian(g))
     noise = NoiseModel(kind=plan.noise)
     seed = trial_seed(plan.seed, m, trial) if seed is None else seed
@@ -271,14 +243,10 @@ def run_trial(plan: ExperimentPlan, m: int, trial: int,
         start = time.perf_counter()
         try:  # record failures without aborting the plan
             hyper = _resolve_hyper(ms, plan, m, truth, spec)
-            if ms.method == Method.LAPLACIAN_SMOOTHING:
-                result = est.laplacian_smoothing(bundle, g, hyper)
-            elif ms.method == Method.SUBSPACE_LS:
-                result = est.subspace_ls(bundle, spec, int(hyper))
-            elif ms.method == Method.NODEWISE_OLS:
-                result = est.nodewise_ols(bundle)
-            else:
-                result = est.pooled_ols(bundle)
+            lam = hyper if ms.method == Method.LAPLACIAN_SMOOTHING else None
+            tau = int(hyper) if ms.method == Method.SUBSPACE_LS else None
+            result = est.estimate(bundle, g, est.EstimatorConfig(ms.method, lam=lam, tau=tau),
+                                  spec=spec)
             trial_mse = mse(result, truth)
             status = "ok"
         except Exception as exc:

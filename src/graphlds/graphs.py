@@ -9,10 +9,14 @@ constant eigenvector is the last column of the eigenvector matrix.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+# edges per gather in quadratic_variation; bounds its temporaries
+_EDGE_CHUNK = 256
 
 
 class GraphKind(enum.Enum):
@@ -35,12 +39,15 @@ class GraphTopology:
     edges: tuple[tuple[int, int], ...]
     kind: GraphKind = GraphKind.CUSTOM
 
+    @functools.cached_property
+    def edge_index(self) -> np.ndarray:
+        """The edges as a read-only (E, 2) array of 0-based node indices."""
+        idx = np.array(self.edges, dtype=np.intp).reshape(-1, 2) - 1
+        idx.flags.writeable = False
+        return idx
+
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.m, dtype=float)
-        for a, b in self.edges:
-            deg[a - 1] += 1.0
-            deg[b - 1] += 1.0
-        return deg
+        return np.bincount(self.edge_index.ravel(), minlength=self.m).astype(float)
 
 
 @dataclass(frozen=True)
@@ -122,6 +129,18 @@ def star_graph(m: int) -> GraphTopology:
     return custom_graph(m, [(1, i) for i in range(2, m + 1)], GraphKind.STAR)
 
 
+def named_graph(kind: GraphKind | str, m: int) -> GraphTopology:
+    """The path, complete or star graph on m nodes."""
+    kind = GraphKind(kind)
+    if kind == GraphKind.PATH:
+        return path_graph(m)
+    if kind == GraphKind.COMPLETE:
+        return complete_graph(m)
+    if kind == GraphKind.STAR:
+        return star_graph(m)
+    raise ValueError(f"no named {kind.value} graph; custom graphs need an edge list")
+
+
 def load_edge_list(path) -> GraphTopology:
     """Read a custom graph from a text file: one "a b" pair per line,
     1-based ids, '#' starts a comment, blank lines ignored. The node
@@ -144,12 +163,9 @@ def load_edge_list(path) -> GraphTopology:
 def build_laplacian(g: GraphTopology) -> np.ndarray:
     """L = D - A, the unnormalized combinatorial Laplacian."""
     lap = np.zeros((g.m, g.m))
-    for a, b in g.edges:
-        i, j = a - 1, b - 1
-        lap[i, j] -= 1.0
-        lap[j, i] -= 1.0
-        lap[i, i] += 1.0
-        lap[j, j] += 1.0
+    i, j = g.edge_index.T
+    lap[i, j] = lap[j, i] = -1.0  # edges are distinct, so no pair repeats
+    lap[np.diag_indices(g.m)] = g.degrees()
     return lap
 
 
@@ -222,16 +238,10 @@ def closed_form_spectrum(kind: GraphKind, m: int) -> LaplacianSpectrum:
                 (2 * nodes - 1) * np.pi * i / (2.0 * m)
             )
         return LaplacianSpectrum(eigenvalues=vals, eigenvectors=vecs)
-    if kind == GraphKind.COMPLETE:
-        vals = np.full(m, float(m))
-        vals[m - 1] = 0.0
-        vecs = spectrum(build_laplacian(complete_graph(m))).eigenvectors
-        return LaplacianSpectrum(eigenvalues=vals, eigenvectors=vecs)
-    if kind == GraphKind.STAR:
-        vals = np.ones(m)
-        vals[0] = float(m)
-        vals[m - 1] = 0.0
-        vecs = spectrum(build_laplacian(star_graph(m))).eigenvectors
+    if kind in (GraphKind.COMPLETE, GraphKind.STAR):
+        vals = np.full(m, float(m)) if kind == GraphKind.COMPLETE else np.ones(m)
+        vals[0], vals[m - 1] = float(m), 0.0
+        vecs = spectrum(build_laplacian(named_graph(kind, m))).eigenvectors
         return LaplacianSpectrum(eigenvalues=vals, eigenvectors=vecs)
     raise ValueError(f"no closed-form spectrum for kind {kind}")
 
@@ -251,9 +261,10 @@ def quadratic_variation(mats, g: GraphTopology) -> float:
     if arr.shape[0] != g.m:
         raise ValueError(f"ensemble has {arr.shape[0]} matrices, graph has m={g.m}")
     total = 0.0
-    for a, b in g.edges:
-        diff = arr[a - 1] - arr[b - 1]
-        total += float(np.sum(diff * diff))
+    for start in range(0, len(g.edges), _EDGE_CHUNK):
+        i, j = g.edge_index[start:start + _EDGE_CHUNK].T
+        diff = arr[i] - arr[j]
+        total += float(np.einsum("eab,eab->", diff, diff))
     return total
 
 

@@ -1,9 +1,11 @@
 """Independent brute-force references for the structured implementations.
 
-Everything here materializes the full regression operator: the block
+Everything here materializes a full regression operator: the block
 diagonal of X_l^T (x) I_d, the stacked targets, and the md^2-sized
-normal/pseudo-inverse solves. Deliberately slow and simple; the library
-must agree with these on small instances.
+normal/pseudo-inverse solves, or (for the subspace estimator) the
+reduced regression on the subspace coefficients solved by lstsq.
+Deliberately slow and simple; the library must agree with these on
+small instances.
 """
 
 from __future__ import annotations
@@ -52,16 +54,17 @@ def oracle_laplacian(bundle: TrajectoryBundle, g: GraphTopology,
 
 def oracle_subspace(bundle: TrajectoryBundle, spec: LaplacianSpectrum,
                     tau: int) -> np.ndarray:
-    """Minimum-norm projected LS through an explicit md^2-sized
-    pseudo-inverse."""
+    """Minimum-norm projected LS by lstsq on the reduced (m T) x (tau d)
+    regression: A_l = sum_k W[l, k] C_k for W the low-frequency basis, so
+    node l's rows are kron(W[l], X_l^T) and its targets X~_l^T. W has
+    orthonormal columns, so the minimum-norm C gives the minimum-norm A."""
     m, d = bundle.m, bundle.d
-    d2 = d * d
     w = spec.low_frequency_basis(tau)
-    proj = np.kron(w @ w.T, np.eye(d2))
-    q = dense_q(bundle)
-    mat = proj @ q.T @ q @ proj
-    a = np.linalg.pinv(mat, hermitian=True) @ (proj @ q.T @ dense_targets(bundle))
-    return unstack(a, m, d)
+    design = np.vstack([np.kron(w[l], bundle.inputs(l).T) for l in range(m)])
+    targets = np.vstack([bundle.targets(l).T for l in range(m)])
+    coeffs, *_ = np.linalg.lstsq(design, targets, rcond=None)
+    c = coeffs.reshape(tau, d, d).transpose(0, 2, 1)  # c[k] = C_k
+    return np.einsum("lk,kij->lij", w, c)
 
 
 def oracle_minnorm_ls(bundle: TrajectoryBundle) -> np.ndarray:

@@ -96,7 +96,7 @@ def test_criterion_2_and_9_subspace_oracle_and_feasibility():
             flat = got.transpose(0, 2, 1).reshape(bundle.m, bundle.d ** 2)
             worst_feas = max(worst_feas, float(np.abs(w @ (w.T @ flat) - flat).max()))
     elapsed = time.perf_counter() - start
-    report(2, "factored subspace solve matches dense pseudo-inverse oracle",
+    report(2, "factored subspace solve matches brute-force lstsq oracle",
            worst <= 1e-8 and elapsed < 10.0,
            f"max rel err {worst:.2e}, {elapsed:.1f}s")
     report(9, "subspace solutions lie exactly in their low-frequency span",

@@ -83,6 +83,17 @@ class TestLaplacian:
         assert abs(spec.eigenvalues[-1]) <= 1e-9
         assert spec.eigenvalues[-2] > 1e-9  # algebraic connectivity
 
+    @pytest.mark.parametrize("g", [complete_graph(40), star_graph(7),
+                                   random_connected_graph(np.random.default_rng(4), 30)])
+    def test_matches_edge_loop(self, g):
+        expected = np.zeros((g.m, g.m))
+        for a, b in g.edges:
+            expected[a - 1, b - 1] = expected[b - 1, a - 1] = -1.0
+            expected[a - 1, a - 1] += 1.0
+            expected[b - 1, b - 1] += 1.0
+        assert np.array_equal(build_laplacian(g), expected)
+        assert np.array_equal(g.degrees(), np.diag(expected))
+
 
 class TestSpectrum:
     def test_path_m2_eigenvalues(self):
@@ -166,6 +177,13 @@ class TestQuadraticVariation:
         mats = np.broadcast_to(np.arange(9.0).reshape(3, 3), (5, 3, 3)).copy()
         for g in (path_graph(5), complete_graph(5), star_graph(5)):
             assert quadratic_variation(mats, g) == 0.0
+
+    def test_chunked_sum_matches_edge_loop(self):
+        # 780 edges span several gather chunks
+        g = complete_graph(40)
+        mats = np.random.default_rng(3).standard_normal((40, 3, 3))
+        expected = sum(float(np.sum((mats[a - 1] - mats[b - 1]) ** 2)) for a, b in g.edges)
+        assert quadratic_variation(mats, g) == pytest.approx(expected, rel=1e-13)
 
     def test_dimension_mismatch(self):
         mats = np.zeros((3, 2, 2))

@@ -10,13 +10,16 @@ from graphlds import (
     TrajectoryBundle,
     apply_penalized,
     build_laplacian,
+    complete_graph,
     gram_blocks,
     path_graph,
     pinv_solve,
     solve_spd,
     stack_mats,
+    star_graph,
     unstack_mats,
 )
+from graphlds.solver import _solve_banded, _solve_cg
 from oracles import (
     dense_penalized_matrix,
     dense_q,
@@ -27,6 +30,13 @@ from oracles import (
     unstack,
     vec_f,
 )
+
+
+# both solve paths at their defaults, called directly
+SOLVERS = {
+    "banded": _solve_banded,
+    "cg": lambda op, rhs: _solve_cg(op, rhs, tol=1e-10, max_iter=1000),
+}
 
 
 class TestStacking:
@@ -124,7 +134,6 @@ class TestApplyPenalized:
         blocks = gram_blocks(bundle)
         op = PenalizedOperator(blocks=blocks, laplacian=build_laplacian(g), lam=lam)
         dense = dense_penalized_matrix(bundle, g, lam)
-        assert np.allclose(op.dense(), dense, atol=1e-10)
         a = rng.standard_normal(op.size)
         scale = max(np.linalg.norm(dense @ a), 1.0)
         assert np.linalg.norm(apply_penalized(op, a) - dense @ a) <= 1e-11 * scale
@@ -197,22 +206,12 @@ class TestSolveSpd:
         blocks = gram_blocks(bundle)
         op = PenalizedOperator(blocks=blocks, laplacian=build_laplacian(g), lam=2.0)
         rhs = rng.standard_normal(op.size)
-        dense_sol, dense_info = solve_spd(op, rhs, dense_threshold=10_000)
-        cg_sol, cg_info = solve_spd(op, rhs, dense_threshold=0)
-        assert dense_info["solver"] == "dense_cholesky"
+        direct_sol, direct_info = SOLVERS["banded"](op, rhs)
+        cg_sol, cg_info = SOLVERS["cg"](op, rhs)
+        assert direct_info["solver"] == "banded_cholesky"
         assert cg_info["solver"] == "cg"
-        assert np.allclose(dense_sol, cg_sol, atol=1e-8 * max(1.0, np.linalg.norm(dense_sol)))
-
-    def test_cg_preconditioner_agrees(self):
-        rng = np.random.default_rng(13)
-        bundle = random_bundle(rng, 5, 2, 7)
-        g = path_graph(5)
-        blocks = gram_blocks(bundle)
-        op = PenalizedOperator(blocks=blocks, laplacian=build_laplacian(g), lam=1.0)
-        rhs = rng.standard_normal(op.size)
-        plain, _ = solve_spd(op, rhs, dense_threshold=0)
-        pre, _ = solve_spd(op, rhs, dense_threshold=0, use_preconditioner=True)
-        assert np.allclose(plain, pre, atol=1e-8 * max(1.0, np.linalg.norm(plain)))
+        assert np.allclose(direct_sol, cg_sol,
+                           atol=1e-8 * max(1.0, np.linalg.norm(direct_sol)))
 
     def test_residual_contract(self):
         rng = np.random.default_rng(14)
@@ -221,21 +220,33 @@ class TestSolveSpd:
         blocks = gram_blocks(bundle)
         op = PenalizedOperator(blocks=blocks, laplacian=build_laplacian(g), lam=0.5)
         rhs = rng.standard_normal(op.size)
-        for threshold in (0, 10_000):
-            sol, _ = solve_spd(op, rhs, tol=1e-10, dense_threshold=threshold)
+        for solve in SOLVERS.values():
+            sol, info = solve(op, rhs)
             res = np.linalg.norm(rhs - apply_penalized(op, sol)) / np.linalg.norm(rhs)
             assert res <= 1e-9
+            assert info["residual"] <= 1e-9
 
-    @pytest.mark.parametrize("dense_threshold", [0, 10_000])
-    def test_singular_lambda_zero_short_horizon(self, dense_threshold):
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_singular_lambda_zero_short_horizon(self, solver):
         # T < d makes every Y_l rank deficient, so lam = 0 is singular
         rng = np.random.default_rng(15)
         bundle = random_bundle(rng, 3, 4, 2)
         blocks = gram_blocks(bundle)
         op = PenalizedOperator(blocks=blocks,
                                laplacian=build_laplacian(path_graph(3)), lam=0.0)
-        with pytest.raises((SingularSystemError, ConvergenceError)):
-            solve_spd(op, blocks.rhs(), dense_threshold=dense_threshold)
+        with pytest.raises(SingularSystemError):
+            SOLVERS[solver](op, blocks.rhs())
+
+    def test_banded_rejects_condition_past_working_precision(self):
+        # Y_1 = Y_2 = 1 on two nodes: K = [[1 + lam, -lam], [-lam, 1 + lam]]
+        # is positive definite with 1-norm condition number 1 + 2 lam,
+        # beyond 1 / RCOND_SINGULAR at lam = 1e15
+        states = np.ones((2, 1, 2))
+        blocks = gram_blocks(TrajectoryBundle(states=states))
+        op = PenalizedOperator(blocks=blocks,
+                               laplacian=build_laplacian(path_graph(2)), lam=1e15)
+        with pytest.raises(SingularSystemError, match="rcond"):
+            _solve_banded(op, blocks.rhs())
 
     def test_cg_nonconvergence_carries_residual(self):
         rng = np.random.default_rng(16)
@@ -245,9 +256,46 @@ class TestSolveSpd:
                                laplacian=build_laplacian(path_graph(4)), lam=1.0)
         rhs = rng.standard_normal(op.size)
         with pytest.raises(ConvergenceError) as err:
-            solve_spd(op, rhs, dense_threshold=0, max_iter=2)
+            _solve_cg(op, rhs, tol=1e-10, max_iter=2)
         assert err.value.residual > 0
         assert err.value.iterations == 2
+
+    @given(st.sampled_from(["path", "star", "complete", "random"]),
+           st.integers(min_value=2, max_value=6),
+           st.integers(min_value=1, max_value=3),
+           st.sampled_from([0.0, 1e-2, 1e6]),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_banded_matches_dense_solve(self, kind, m, d, lam, seed):
+        rng = np.random.default_rng(seed)
+        g = {"path": path_graph, "star": star_graph, "complete": complete_graph,
+             "random": lambda m: random_connected_graph(rng, m)}[kind](m)
+        # T = d + 2 random trajectories give full-rank Y_l, so lam = 0 is regular
+        bundle = random_bundle(rng, m, d, d + 2)
+        blocks = gram_blocks(bundle)
+        op = PenalizedOperator(blocks=blocks, laplacian=build_laplacian(g), lam=lam)
+        rhs = rng.standard_normal(op.size)
+        sol, info = _solve_banded(op, rhs)
+        expected = np.linalg.solve(dense_penalized_matrix(bundle, g, lam), rhs)
+        assert info["solver"] == "banded_cholesky"
+        assert np.linalg.norm(sol - expected) <= 1e-8 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("graph, m, expected", [
+        (path_graph, 1000, "banded_cholesky"),
+        (complete_graph, 100, "cg"),
+    ])
+    def test_dispatch(self, graph, m, expected):
+        rng = np.random.default_rng(18)
+        d = 10
+        bundle = random_bundle(rng, m, d, 12)
+        blocks = gram_blocks(bundle)
+        op = PenalizedOperator(blocks=blocks, laplacian=build_laplacian(graph(m)), lam=1.0)
+        sol, info = solve_spd(op, blocks.rhs())
+        # the keys the benchmark's tracer reads
+        assert info["solver"] == expected
+        assert (info["iterations"] == 0) == (expected == "banded_cholesky")
+        assert info["residual"] <= 1e-9
+        assert sol.shape == (m * d * d,)
 
 
 class TestPinvSolve:
