@@ -166,6 +166,7 @@ def sample_holder_ensemble(m: int, d: int, beta: float,
 
 
 def spectral_radius(a: np.ndarray) -> float:
+    """Largest eigenvalue modulus of a matrix, or over a stack of them."""
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix must be finite")
@@ -177,7 +178,7 @@ def spectral_radius(a: np.ndarray) -> float:
 
 
 def max_spectral_radius(e: SystemEnsemble) -> float:
-    return max(spectral_radius(a) for a in e.mats)
+    return spectral_radius(e.mats)
 
 
 def normalize_spectral_radius(e: SystemEnsemble) -> SystemEnsemble:

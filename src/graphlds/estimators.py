@@ -19,16 +19,7 @@ import numpy as np
 from .ensembles import SystemEnsemble, TrajectoryBundle, gamma_diagnostics
 from .graphs import (GraphTopology, LaplacianSpectrum, build_laplacian,
                      quadratic_variation, spectrum)
-from .solver import (
-    DEFAULT_SOLVE_TOL,
-    GramBlocks,
-    PenalizedOperator,
-    gram_blocks,
-    pinv_solve,
-    solve_spd,
-    stack_mats,
-    unstack_mats,
-)
+from .solver import GramBlocks, PenalizedOperator, gram_blocks, pinv_solve, solve_spd
 
 
 class Method(enum.Enum):
@@ -43,9 +34,6 @@ class EstimatorConfig:
     method: Method
     lam: float | None = None
     tau: int | None = None
-    solve_tol: float = DEFAULT_SOLVE_TOL
-    max_iter: int | None = None
-    rank_tol: float | None = None
 
     def __post_init__(self):
         if self.method == Method.LAPLACIAN_SMOOTHING:
@@ -78,11 +66,8 @@ def smoothing_objective(bundle: TrajectoryBundle, g: GraphTopology,
                         lam: float, mats: np.ndarray) -> float:
     """Fit residual plus lam times the edgewise quadratic variation;
     the quantity the smoothing estimator minimizes."""
-    fit = 0.0
-    for l in range(bundle.m):
-        resid = bundle.targets(l) - np.asarray(mats)[l] @ bundle.inputs(l)
-        fit += float(np.sum(resid * resid))
-    return fit + lam * quadratic_variation(mats, g)
+    resid = bundle.states[:, :, 1:] - np.asarray(mats) @ bundle.states[:, :, :-1]
+    return float(np.sum(resid * resid)) + lam * quadratic_variation(mats, g)
 
 
 def mse(estimate: EstimateSet | np.ndarray, truth: SystemEnsemble) -> float:
@@ -102,15 +87,12 @@ def _with_truth(diag: dict, mats: np.ndarray, truth: SystemEnsemble | None) -> d
 
 
 def laplacian_smoothing(bundle: TrajectoryBundle, g: GraphTopology, lam: float,
-                        solve_tol: float = DEFAULT_SOLVE_TOL,
-                        max_iter: int | None = None,
                         truth: SystemEnsemble | None = None) -> EstimateSet:
     """Penalized least squares: data fit plus lam times the quadratic
-    variation across edges. Solves the SPD normal equations
-    (blkdiag(Y_l (x) I_d) + lam L (x) I_{d^2}) a = stacked cross-moments
-    through solve_spd: a banded Cholesky of their row split (path graphs,
-    any graph at lam = 0), else conjugate gradients to relative residual
-    solve_tol within max_iter iterations; diagnostics["solver"] says which.
+    variation across edges. Solves the SPD normal equations in row-split
+    form, Y_l M_l + lam sum_k L_lk M_k = cs_l^T for M_l = A_l^T, through
+    solve_spd: a banded Cholesky (path graphs, any graph at lam = 0), else
+    conjugate gradients; diagnostics["solver"] says which.
 
     Raises SingularSystemError when the operator is singular (e.g.
     lam = 0 with rank-deficient per-node Gram matrices).
@@ -121,8 +103,8 @@ def laplacian_smoothing(bundle: TrajectoryBundle, g: GraphTopology, lam: float,
         raise ValueError(f"bundle has m={bundle.m}, graph has m={g.m}")
     blocks = gram_blocks(bundle)
     op = PenalizedOperator(blocks=blocks, laplacian=build_laplacian(g), lam=lam)
-    a, info = solve_spd(op, blocks.rhs(), tol=solve_tol, max_iter=max_iter)
-    mats = unstack_mats(a, bundle.m, bundle.d)
+    sol, info = solve_spd(op, blocks.cs.transpose(0, 2, 1))
+    mats = sol.transpose(0, 2, 1).copy()
     diag = {
         "method": Method.LAPLACIAN_SMOOTHING.value,
         "lambda": float(lam),
@@ -137,28 +119,25 @@ def laplacian_smoothing(bundle: TrajectoryBundle, g: GraphTopology, lam: float,
     return EstimateSet(mats=mats, diagnostics=_with_truth(diag, mats, truth))
 
 
-def _subspace_core(blocks: GramBlocks, basis: np.ndarray, rank_tol: float | None):
-    """Minimum-norm LS restricted to span(basis (x) I_{d^2}).
+def _subspace_core(blocks: GramBlocks, basis: np.ndarray):
+    """Minimum-norm LS restricted to A_l = sum_k W[l, k] C_k, W = basis.
 
-    With W = basis (m x tau) and f_l its l-th row, the projected normal
-    matrix factors as B (x) I_d for B = sum_l (f_l f_l^T) (x) Y_l of size
-    tau*d, so only one tau*d pseudo-inverse is needed. The (x) I_d factor
-    is realized by reshaping the projected right-hand side to (tau*d, d)
-    row blocks; this hinges on the column-major block convention and is
-    pinned by the dense-equivalence tests.
+    In row-split form (Z_k = C_k^T) the projected normal equations are
+    B Z = R with B = sum_l (f_l f_l^T) (x) Y_l of size tau*d (f_l the
+    l-th row of W), Z the (tau*d, d) stack of the Z_k and R that of
+    sum_l W[l, k] cs_l^T, so one tau*d pseudo-inverse serves all d
+    columns.
     """
     m, d = blocks.m, blocks.d
     tau = basis.shape[1]
     bmat = np.einsum("lj,lk,lcd->jckd", basis, basis, blocks.ys).reshape(tau * d, tau * d)
-    rhs = (basis.T @ blocks.rhs().reshape(m, d * d)).reshape(tau * d, d)
-    z, rank = pinv_solve(bmat, rhs, rank_tol=rank_tol)
-    coeffs = z.reshape(tau, d * d)
-    a = (basis @ coeffs).reshape(m * d * d)
-    return unstack_mats(a, m, d), rank
+    proj = (basis.T @ blocks.cs.reshape(m, d * d)).reshape(tau, d, d)
+    z, rank = pinv_solve(bmat, proj.transpose(0, 2, 1).reshape(tau * d, d))
+    mats = (basis @ z.reshape(tau, d * d)).reshape(m, d, d)
+    return mats.transpose(0, 2, 1).copy(), rank
 
 
 def subspace_ls(bundle: TrajectoryBundle, spec: LaplacianSpectrum, tau: int,
-                rank_tol: float | None = None,
                 truth: SystemEnsemble | None = None) -> EstimateSet:
     """Least squares constrained to the tau lowest-frequency Laplacian
     eigenvectors tensored with identity; minimum-norm solution."""
@@ -168,7 +147,7 @@ def subspace_ls(bundle: TrajectoryBundle, spec: LaplacianSpectrum, tau: int,
         raise ValueError(f"tau must lie in [1, {spec.m}], got {tau}")
     blocks = gram_blocks(bundle)
     basis = spec.low_frequency_basis(tau)
-    mats, rank = _subspace_core(blocks, basis, rank_tol)
+    mats, rank = _subspace_core(blocks, basis)
     vals = spec.eigenvalues
     m = spec.m
     # tau splits a repeated eigenvalue when the cut falls inside an
@@ -184,29 +163,26 @@ def subspace_ls(bundle: TrajectoryBundle, spec: LaplacianSpectrum, tau: int,
     return EstimateSet(mats=mats, diagnostics=_with_truth(diag, mats, truth))
 
 
-def nodewise_ols(bundle: TrajectoryBundle, rank_tol: float | None = None,
+def nodewise_ols(bundle: TrajectoryBundle,
                  truth: SystemEnsemble | None = None) -> EstimateSet:
     """Independent per-node minimum-norm OLS (pseudo-inverse handles
-    horizons shorter than the state dimension)."""
+    horizons shorter than the state dimension); effective_rank is the
+    smallest per-node rank."""
     blocks = gram_blocks(bundle)
-    mats = np.empty_like(blocks.cs)
-    ranks = []
-    for l in range(blocks.m):
-        sol, rank = pinv_solve(blocks.ys[l], blocks.cs[l].T, rank_tol=rank_tol)
-        mats[l] = sol.T
-        ranks.append(rank)
-    diag = {"method": Method.NODEWISE_OLS.value, "effective_rank": min(ranks)}
+    sol, ranks = pinv_solve(blocks.ys, blocks.cs.transpose(0, 2, 1))
+    mats = sol.transpose(0, 2, 1).copy()
+    diag = {"method": Method.NODEWISE_OLS.value, "effective_rank": int(ranks.min())}
     return EstimateSet(mats=mats, diagnostics=_with_truth(diag, mats, truth))
 
 
-def pooled_ols(bundle: TrajectoryBundle, rank_tol: float | None = None,
+def pooled_ols(bundle: TrajectoryBundle,
                truth: SystemEnsemble | None = None) -> EstimateSet:
     """Single matrix fit to all trajectories jointly, replicated to
     every node."""
     blocks = gram_blocks(bundle)
     y_sum = blocks.ys.sum(axis=0)
     c_sum = blocks.cs.sum(axis=0)
-    sol, rank = pinv_solve(y_sum, c_sum.T, rank_tol=rank_tol)
+    sol, rank = pinv_solve(y_sum, c_sum.T)
     mats = np.broadcast_to(sol.T, blocks.cs.shape).copy()
     diag = {"method": Method.POOLED_OLS.value, "effective_rank": rank}
     return EstimateSet(mats=mats, diagnostics=_with_truth(diag, mats, truth))
@@ -221,18 +197,15 @@ def estimate(bundle: TrajectoryBundle, g: GraphTopology, config: EstimatorConfig
     diagnostics also carry the gamma trajectory-energy values (at
     confidence gamma_delta and noise proxy gamma_r)."""
     if config.method == Method.LAPLACIAN_SMOOTHING:
-        result = laplacian_smoothing(
-            bundle, g, config.lam, solve_tol=config.solve_tol,
-            max_iter=config.max_iter, truth=truth)
+        result = laplacian_smoothing(bundle, g, config.lam, truth=truth)
     elif config.method == Method.SUBSPACE_LS:
         if spec is None:
             spec = spectrum(build_laplacian(g))
-        result = subspace_ls(bundle, spec, config.tau, rank_tol=config.rank_tol,
-                             truth=truth)
+        result = subspace_ls(bundle, spec, config.tau, truth=truth)
     elif config.method == Method.NODEWISE_OLS:
-        result = nodewise_ols(bundle, rank_tol=config.rank_tol, truth=truth)
+        result = nodewise_ols(bundle, truth=truth)
     elif config.method == Method.POOLED_OLS:
-        result = pooled_ols(bundle, rank_tol=config.rank_tol, truth=truth)
+        result = pooled_ols(bundle, truth=truth)
     else:
         raise ValueError(f"unknown method {config.method}")
     if truth is not None:
@@ -287,11 +260,8 @@ def lambda_rule(kind: LambdaRule | str, *, m: int, r: float = 1.0,
 def hub_mode_energy(truth: SystemEnsemble, spec: LaplacianSpectrum) -> float:
     """Exact value of the star-graph p1 term: squared coefficients of the
     stacked truth along the top-eigenvalue eigenvector directions."""
-    a = stack_mats(truth.mats)
-    d2 = truth.d ** 2
-    v1 = spec.eigenvectors[:, 0]
-    coeffs = a.reshape(truth.m, d2).T @ v1
-    return float(coeffs @ coeffs)
+    coeffs = np.tensordot(spec.eigenvectors[:, 0], truth.mats, axes=1)
+    return float(np.sum(coeffs * coeffs))
 
 
 class TauRule(enum.Enum):

@@ -1,16 +1,18 @@
 """Structured linear algebra for the joint estimators.
 
-The smoothing normal equations blkdiag(Y_l (x) I_d) + lambda (L (x) I_{d^2})
-act on a vector a of length m*d^2 whose l-th block is the column-major
-vec of the l-th d x d matrix. The C-order reshape of that block is
-M_l = A_l^T, mapped to Y_l @ M_l + lambda * sum_k L_lk M_k: the d columns
-of the M_l never interact, so a.reshape(m*d, d) solves one m d x m d SPD
-system K X = rhs.reshape(m*d, d), K = blkdiag(Y_l) + lambda (L (x) I_d),
-with d right-hand sides (the row split of graph-regularized multitask
-learning; Evgeniou, Micchelli & Pontil, JMLR 2005). In node order K has
+Every estimator works in the row split of its normal equations (the row
+split of graph-regularized multitask learning; Evgeniou, Micchelli &
+Pontil, JMLR 2005): the unknowns are an (m, d, d) stack of
+M_l = A_l^T, and the d columns of the M_l never interact. For Laplacian
+smoothing the normal equations map that stack to
+Y_l @ M_l + lambda * sum_k L_lk M_k. Reshaped to (m*d, d) the stack is
+exactly the d right-hand-side columns of one m d x m d SPD system
+K = blkdiag(Y_l) + lambda (L (x) I_d). In node order K has
 half-bandwidth (b+1) d - 1 for b = max |i - j| over the Laplacian's
 nonzeros; solve_spd factors that band when it is cheap and otherwise
-runs conjugate gradients on the matrix-free operator.
+runs conjugate gradients on the matrix-free operator. The subspace and
+OLS estimators solve small symmetric systems with d columns each through
+pinv_solve, which takes a whole stack of them in one call.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import scipy.sparse
 
 from .ensembles import TrajectoryBundle
 
-DEFAULT_SOLVE_TOL = 1e-10
+# relative residual at which conjugate gradients stops
+CG_TOL = 1e-10
 # Largest banded-Cholesky cost, m d ((b+1) d)^2 flops, that solve_spd
 # factors directly. At d = 10 CG wins past about 3e7 on complete and
 # star graphs (~20-40 iterations) and the band wins to 2e9 on band graphs.
@@ -46,26 +49,13 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-def stack_mats(mats: np.ndarray) -> np.ndarray:
-    """Column-major vec of each d x d matrix, concatenated over nodes."""
-    mats = np.asarray(mats, dtype=float)
-    m, d, _ = mats.shape
-    # transpose(0, 2, 1) then C-flatten == per-block Fortran flatten
-    return mats.transpose(0, 2, 1).reshape(m * d * d)
-
-
-def unstack_mats(a: np.ndarray, m: int, d: int) -> np.ndarray:
-    """Inverse of stack_mats: (m*d^2,) -> (m, d, d)."""
-    return a.reshape(m, d, d).transpose(0, 2, 1).copy()
-
-
 @dataclass(frozen=True)
 class GramBlocks:
     """Per-node second-moment blocks of a trajectory bundle.
 
     ys[l] = X_l X_l^T and cs[l] = X~_l X_l^T, where X_l stacks
-    x_{l,1}..x_{l,T} and X~_l the shifted targets. The stacked right-hand
-    side Q^T x~ has l-th block vec(cs[l]).
+    x_{l,1}..x_{l,T} and X~_l the shifted targets. The smoothing
+    right-hand side in row-split form is cs.transpose(0, 2, 1).
     """
 
     ys: np.ndarray
@@ -80,10 +70,6 @@ class GramBlocks:
     def d(self) -> int:
         return self.ys.shape[1]
 
-    def rhs(self) -> np.ndarray:
-        """Stacked Q^T x~ in the column-major block convention."""
-        return stack_mats(self.cs)
-
 
 def gram_blocks(bundle: TrajectoryBundle) -> GramBlocks:
     inputs_t = bundle.states[:, :, :-1].transpose(0, 2, 1)  # X_l^T per node
@@ -93,7 +79,8 @@ def gram_blocks(bundle: TrajectoryBundle) -> GramBlocks:
 
 @dataclass
 class PenalizedOperator:
-    """Matrix-free action of blkdiag(Y_l (x) I_d) + lambda (L (x) I_{d^2})."""
+    """Matrix-free action of the smoothing normal equations on an
+    (m, d, d) stack: M_l -> Y_l @ M_l + lambda * sum_k L_lk M_k."""
 
     blocks: GramBlocks
     laplacian: np.ndarray
@@ -107,30 +94,25 @@ class PenalizedOperator:
         self._lap = scipy.sparse.csr_array(self.laplacian)
 
     @property
-    def size(self) -> int:
-        return self.blocks.m * self.blocks.d ** 2
+    def shape(self) -> tuple[int, int, int]:
+        return self.blocks.ys.shape
 
-    def apply(self, a: np.ndarray) -> np.ndarray:
+    def apply(self, mats: np.ndarray) -> np.ndarray:
+        mats = np.asarray(mats, dtype=float)
+        if mats.shape != self.shape:
+            raise ValueError(f"expected an array of shape {self.shape}, got {mats.shape}")
         m, d = self.blocks.m, self.blocks.d
-        blocks = a.reshape(m, d, d)  # C-order views; see module docstring
-        out = np.einsum("lij,ljk->lik", self.blocks.ys, blocks)
+        out = np.einsum("lij,ljk->lik", self.blocks.ys, mats)
         if self.lam != 0.0:
-            flat = a.reshape(m, d * d)
-            out += self.lam * (self._lap @ flat).reshape(m, d, d)
-        return out.reshape(m * d * d)
-
-    def norm_upper_bound(self) -> float:
-        """Cheap upper bound on the operator 2-norm, for breakdown tests."""
-        y_bound = float(max(np.trace(y) for y in self.blocks.ys))
-        deg = float(np.max(np.diag(self.laplacian))) if self.lam else 0.0
-        return y_bound + self.lam * 2.0 * deg
+            out += self.lam * (self._lap @ mats.reshape(m, d * d)).reshape(m, d, d)
+        return out
 
 
-def apply_penalized(op: PenalizedOperator, a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.shape != (op.size,):
-        raise ValueError(f"expected vector of length {op.size}, got shape {a.shape}")
-    return op.apply(a)
+def _norm1(op: PenalizedOperator) -> float:
+    """||K||_1 exactly: Y_l and L have nonnegative diagonals, so no
+    column sum cancels."""
+    return float((np.abs(op.blocks.ys).sum(axis=1)
+                  + op.lam * np.abs(op.laplacian).sum(axis=0)[:, None]).max())
 
 
 def _check_structural_rank(op: PenalizedOperator) -> None:
@@ -195,15 +177,13 @@ def _banded_residual(op: PenalizedOperator, diags, rhs: np.ndarray,
     diagonal k of L). At large lambda the solution is nearly constant
     across nodes, where lam * (L @ x) would lose lam * eps * |x| to
     cancellation and stall iterative refinement."""
-    m, d = op.blocks.m, op.blocks.d
-    mats = x.reshape(m, d, d)
-    out = op.blocks.ys @ mats
-    out += (op.lam * op.laplacian.sum(axis=1))[:, None, None] * mats
+    out = op.blocks.ys @ x
+    out += (op.lam * op.laplacian.sum(axis=1))[:, None, None] * x
     for k in range(1, len(diags)):
-        step = diags[k][:, None, None] * (mats[k:] - mats[:-k])
+        step = diags[k][:, None, None] * (x[k:] - x[:-k])
         out[:-k] += step
         out[k:] -= step
-    return rhs - out.reshape(op.size)
+    return rhs - out
 
 
 def _solve_banded(op: PenalizedOperator, rhs: np.ndarray):
@@ -221,13 +201,10 @@ def _solve_banded(op: PenalizedOperator, rhs: np.ndarray):
     ab[i - j, np.arange(m)[:, None] * d + j] = op.blocks.ys[:, i, j]
     for k, w in enumerate(diags):
         ab[k * d, :(m - k) * d] += np.repeat(w, d)
-    # ||K||_1 exactly: Y_l and L have nonnegative diagonals
-    anorm = (np.abs(op.blocks.ys).sum(axis=1)
-             + op.lam * np.abs(op.laplacian).sum(axis=0)[:, None]).max()
     try:
         factor = (scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False), True)
         solve = functools.partial(scipy.linalg.cho_solve_banded, factor, check_finite=False)
-        rcond = 1.0 / (anorm * _inverse_norm1(solve, m * d))
+        rcond = 1.0 / (_norm1(op) * _inverse_norm1(solve, m * d))
     except np.linalg.LinAlgError:  # not positive definite
         rcond = 0.0
     if rcond < RCOND_SINGULAR:
@@ -235,10 +212,10 @@ def _solve_banded(op: PenalizedOperator, rhs: np.ndarray):
             f"penalized operator is numerically singular (rcond={rcond:.2e}); "
             "use lambda > 0 or a longer horizon T"
         )
-    x = np.zeros_like(rhs)
+    x = np.zeros(op.shape)
     for _ in range(3):  # the solve, then two refinement steps
-        r = _banded_residual(op, diags, rhs, x).reshape(m * d, d)
-        x += solve(r).reshape(op.size)
+        r = _banded_residual(op, diags, rhs, x)
+        x += solve(r.reshape(m * d, d)).reshape(op.shape)
     residual = (np.linalg.norm(_banded_residual(op, diags, rhs, x))
                 / max(np.linalg.norm(rhs), 1e-300))
     return x, {"solver": "banded_cholesky", "iterations": 0, "residual": float(residual)}
@@ -248,16 +225,16 @@ def _solve_cg(op: PenalizedOperator, rhs: np.ndarray, tol: float, max_iter: int)
     _check_structural_rank(op)
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
-        return np.zeros_like(rhs), {"solver": "cg", "iterations": 0, "residual": 0.0}
-    x = np.zeros_like(rhs)
+        return np.zeros(op.shape), {"solver": "cg", "iterations": 0, "residual": 0.0}
+    x = np.zeros(op.shape)
     r = rhs.copy()
     p = r.copy()
-    rr = float(r @ r)
-    breakdown_scale = 1e-14 * max(op.norm_upper_bound(), np.finfo(float).tiny)
+    rr = float(np.vdot(r, r))
+    breakdown_scale = 1e-14 * max(_norm1(op), np.finfo(float).tiny)
     for it in range(1, max_iter + 1):
         ap = op.apply(p)
-        pap = float(p @ ap)
-        if pap <= breakdown_scale * float(p @ p):
+        pap = float(np.vdot(p, ap))
+        if pap <= breakdown_scale * float(np.vdot(p, p)):
             raise SingularSystemError(
                 "conjugate-gradient breakdown: operator is singular or indefinite; "
                 "use lambda > 0 or a longer horizon T"
@@ -268,7 +245,7 @@ def _solve_cg(op: PenalizedOperator, rhs: np.ndarray, tol: float, max_iter: int)
         res = np.linalg.norm(r) / rhs_norm
         if res <= tol:
             return x, {"solver": "cg", "iterations": it, "residual": float(res)}
-        rr_new = float(r @ r)
+        rr_new = float(np.vdot(r, r))
         p = r + (rr_new / rr) * p
         rr = rr_new
     final = float(np.linalg.norm(rhs - op.apply(x)) / rhs_norm)
@@ -280,9 +257,8 @@ def _solve_cg(op: PenalizedOperator, rhs: np.ndarray, tol: float, max_iter: int)
     )
 
 
-def solve_spd(op: PenalizedOperator, rhs: np.ndarray,
-              tol: float = DEFAULT_SOLVE_TOL, max_iter: int | None = None):
-    """Solve op(a) = rhs for a symmetric positive definite operator.
+def solve_spd(op: PenalizedOperator, rhs: np.ndarray):
+    """Solve op.apply(M) = rhs for an (m, d, d) stack M.
 
     Row split (module docstring): when the banded Cholesky of K costs at
     most BANDED_FLOP_LIMIT = 1e8 flops, m d ((b+1) d)^2 for node
@@ -290,43 +266,42 @@ def solve_spd(op: PenalizedOperator, rhs: np.ndarray,
     0 iterations); that covers path graphs of any size and every graph at
     lambda = 0. Wider graphs (at d = 10, complete or star graphs past
     about 46 nodes) use conjugate gradients on the matrix-free operator
-    ("cg") until the relative residual is below tol, within max_iter
-    iterations. Returns (a, info) with info["solver"],
-    info["iterations"] and the final relative info["residual"].
+    ("cg") until the relative residual is below CG_TOL, within
+    max(10 m d^2, 1000) iterations. Returns (M, info) with
+    info["solver"], info["iterations"] and the final relative
+    info["residual"].
     """
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (op.size,):
-        raise ValueError(f"rhs must have length {op.size}, got shape {rhs.shape}")
+    rhs = np.ascontiguousarray(rhs, dtype=float)
+    if rhs.shape != op.shape:
+        raise ValueError(f"rhs must have shape {op.shape}, got {rhs.shape}")
     if _node_bandwidth(op, BANDED_FLOP_LIMIT) is not None:
         return _solve_banded(op, rhs)
-    if max_iter is None:
-        max_iter = max(10 * op.size, 1000)
-    return _solve_cg(op, rhs, tol, max_iter)
+    return _solve_cg(op, rhs, CG_TOL, max(10 * rhs.size, 1000))
 
 
-def pinv_solve(mat: np.ndarray, rhs: np.ndarray, rank_tol: float | None = None):
-    """Minimum-norm least-squares solution of a symmetric PSD system via
-    eigendecomposition; eigenvalues <= rank_tol * max(eig) are treated as
-    zero (default rank_tol: k * machine epsilon for a k x k matrix).
+def pinv_solve(mat: np.ndarray, rhs: np.ndarray):
+    """Minimum-norm least-squares solution of symmetric PSD systems via
+    eigendecomposition; per matrix, eigenvalues <= k * machine epsilon
+    times its largest are treated as zero (k x k matrices).
 
-    rhs may be a vector or a matrix of stacked right-hand-side columns.
-    Returns (solution, effective_rank).
+    mat is one (k, k) matrix or a (..., k, k) stack; rhs holds the
+    matching right-hand sides, (..., k, n) columns or, one dimension
+    fewer than mat, (..., k) vectors. Returns (solution, effective_rank):
+    an int rank for one matrix, an array of per-matrix ranks for a stack.
     """
     mat = np.asarray(mat, dtype=float)
-    k = mat.shape[0]
-    if mat.shape != (k, k):
+    rhs = np.asarray(rhs, dtype=float)
+    k = mat.shape[-1]
+    if mat.ndim < 2 or mat.shape[-2] != k:
         raise ValueError(f"matrix must be square, got {mat.shape}")
-    if not np.allclose(mat, mat.T, atol=1e-8 * max(1.0, float(np.abs(mat).max()))):
+    mat_t = np.swapaxes(mat, -1, -2)
+    scale = np.abs(mat).max(axis=(-2, -1), keepdims=True)
+    if not np.allclose(mat, mat_t, atol=1e-8 * np.maximum(scale, 1.0)):
         raise ValueError("matrix must be symmetric")
-    if rank_tol is None:
-        rank_tol = k * np.finfo(float).eps
-    vals, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
-    cutoff = rank_tol * max(float(vals[-1]), 0.0)
-    keep = vals > cutoff
-    rank = int(np.count_nonzero(keep))
-    if rank == 0:
-        return np.zeros_like(np.asarray(rhs, dtype=float)), 0
-    vk = vecs[:, keep]
-    proj = vk.T @ rhs
-    sol = vk @ (proj / vals[keep].reshape(-1, *([1] * (proj.ndim - 1))))
-    return sol, rank
+    vals, vecs = np.linalg.eigh((mat + mat_t) / 2.0)
+    keep = vals > k * np.finfo(float).eps * np.maximum(vals[..., -1:], 0.0)
+    inv = np.divide(1.0, vals, out=np.zeros_like(vals), where=keep)
+    cols = rhs[..., None] if rhs.ndim == mat.ndim - 1 else rhs
+    sol = vecs @ (inv[..., None] * (np.swapaxes(vecs, -1, -2) @ cols))
+    rank = np.count_nonzero(keep, axis=-1)
+    return sol.reshape(rhs.shape), int(rank) if mat.ndim == 2 else rank

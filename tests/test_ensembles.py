@@ -93,6 +93,10 @@ class TestSpectralRadius:
         e = normalize_spectral_radius(sample_holder_ensemble(20, 10, 1.0))
         assert max_spectral_radius(e) == pytest.approx(1.0, abs=1e-9)
 
+    def test_max_radius_matches_per_matrix_loop(self):
+        e = sample_holder_ensemble(30, 4, 0.7)
+        assert max_spectral_radius(e) == max(spectral_radius(a) for a in e.mats)
+
     def test_quadratic_variation_scales_inverse_square(self):
         e = sample_holder_ensemble(12, 3, 0.7)
         rho = max_spectral_radius(e)

@@ -105,6 +105,18 @@ class TestLaplacianSmoothing:
         assert (result.diagnostics["objective"]
                 <= result.diagnostics["objective_at_truth"] + 1e-9)
 
+    def test_objective_matches_per_node_loop(self):
+        rng = np.random.default_rng(45)
+        bundle = random_bundle(rng, 6, 3, 4)
+        g = random_connected_graph(rng, 6)
+        mats = rng.standard_normal((6, 3, 3))
+        fit = 0.0
+        for l in range(6):
+            resid = bundle.targets(l) - mats[l] @ bundle.inputs(l)
+            fit += float(np.sum(resid * resid))
+        expected = fit + 0.7 * quadratic_variation(mats, g)
+        assert smoothing_objective(bundle, g, 0.7, mats) == pytest.approx(expected, rel=1e-14)
+
     def test_first_order_optimality(self):
         rng = np.random.default_rng(25)
         bundle = random_bundle(rng, 3, 2, 5)
@@ -252,6 +264,21 @@ class TestBaselines:
             # and matches the pinv route exactly
             assert np.allclose(result.mats[l],
                                bundle.targets(l) @ np.linalg.pinv(x), atol=1e-8)
+
+    def test_nodewise_reports_smallest_rank(self):
+        states = np.random.default_rng(43).standard_normal((3, 3, 6))
+        states[1, :, :-1] = 0.0  # node 1's inputs are all zero: rank 0
+        bundle = TrajectoryBundle(states=states)
+        result = nodewise_ols(bundle)
+        assert result.diagnostics["effective_rank"] == 0
+        assert type(result.diagnostics["effective_rank"]) is int
+        assert np.array_equal(result.mats[1], np.zeros((3, 3)))
+        for l in (0, 2):
+            assert np.allclose(result.mats[l],
+                               bundle.targets(l) @ np.linalg.pinv(bundle.inputs(l)),
+                               atol=1e-10)
+        assert nodewise_ols(random_bundle(np.random.default_rng(44), 3, 3, 5)) \
+            .diagnostics["effective_rank"] == 3
 
     def test_pooled_m1_equals_nodewise(self):
         bundle = random_bundle(np.random.default_rng(42), 1, 3, 5)

@@ -8,16 +8,13 @@ from graphlds import (
     PenalizedOperator,
     SingularSystemError,
     TrajectoryBundle,
-    apply_penalized,
     build_laplacian,
     complete_graph,
     gram_blocks,
     path_graph,
     pinv_solve,
     solve_spd,
-    stack_mats,
     star_graph,
-    unstack_mats,
 )
 from graphlds.solver import _solve_banded, _solve_cg
 from oracles import (
@@ -27,9 +24,13 @@ from oracles import (
     random_bundle,
     random_connected_graph,
     stack,
-    unstack,
-    vec_f,
 )
+
+
+def vec(mats):
+    """The dense oracles' coefficient vector for a row-split stack: the
+    column-major vec of each A_l = M_l^T."""
+    return stack(np.asarray(mats).transpose(0, 2, 1))
 
 
 # both solve paths at their defaults, called directly
@@ -37,18 +38,6 @@ SOLVERS = {
     "banded": _solve_banded,
     "cg": lambda op, rhs: _solve_cg(op, rhs, tol=1e-10, max_iter=1000),
 }
-
-
-class TestStacking:
-    @given(st.integers(min_value=1, max_value=5),
-           st.integers(min_value=1, max_value=4),
-           st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_roundtrip_and_matches_reference(self, m, d, seed):
-        mats = np.random.default_rng(seed).standard_normal((m, d, d))
-        a = stack_mats(mats)
-        assert np.array_equal(a, stack(mats))  # column-major per block
-        assert np.array_equal(unstack_mats(a, m, d), mats)
 
 
 class TestGramBlocks:
@@ -84,10 +73,7 @@ class TestGramBlocks:
         bundle = random_bundle(rng, 3, 2, 4)
         blocks = gram_blocks(bundle)
         expected = dense_q(bundle).T @ dense_targets(bundle)
-        assert np.allclose(blocks.rhs(), expected, atol=1e-12)
-        for l in range(3):
-            assert np.allclose(blocks.rhs()[l * 4:(l + 1) * 4],
-                               vec_f(blocks.cs[l]), atol=0)
+        assert np.allclose(stack(blocks.cs), expected, atol=1e-12)
 
     def test_ys_symmetric_psd(self):
         bundle = random_bundle(np.random.default_rng(7), 4, 3, 5)
@@ -107,20 +93,19 @@ class TestApplyPenalized:
     def test_lambda_zero_block_diagonal_action(self):
         rng = np.random.default_rng(8)
         op, bundle, _ = self._operator(rng, 3, 2, 4, 0.0)
-        a = rng.standard_normal(op.size)
-        out = apply_penalized(op, a)
-        mats = unstack(a, 3, 2)
+        mats = rng.standard_normal(op.shape)
+        out = op.apply(mats)
         for l in range(3):
-            expected = mats[l] @ op.blocks.ys[l]
-            assert np.allclose(out[l * 4:(l + 1) * 4], vec_f(expected), atol=1e-12)
+            expected = mats[l].T @ op.blocks.ys[l]  # A_l Y_l
+            assert np.allclose(out[l], expected.T, atol=1e-12)
 
     def test_constant_blocks_kill_laplacian_term(self):
         rng = np.random.default_rng(9)
         op, _, _ = self._operator(rng, 4, 2, 5, 3.7)
-        block = rng.standard_normal(4)
-        a = np.tile(block, 4)
+        block = rng.standard_normal((2, 2))
+        mats = np.tile(block, (4, 1, 1))
         zero_op = PenalizedOperator(blocks=op.blocks, laplacian=op.laplacian, lam=0.0)
-        assert np.allclose(apply_penalized(op, a), apply_penalized(zero_op, a), atol=1e-11)
+        assert np.allclose(op.apply(mats), zero_op.apply(mats), atol=1e-11)
 
     @given(st.integers(min_value=2, max_value=5),
            st.integers(min_value=1, max_value=3),
@@ -134,9 +119,9 @@ class TestApplyPenalized:
         blocks = gram_blocks(bundle)
         op = PenalizedOperator(blocks=blocks, laplacian=build_laplacian(g), lam=lam)
         dense = dense_penalized_matrix(bundle, g, lam)
-        a = rng.standard_normal(op.size)
-        scale = max(np.linalg.norm(dense @ a), 1.0)
-        assert np.linalg.norm(apply_penalized(op, a) - dense @ a) <= 1e-11 * scale
+        mats = rng.standard_normal(op.shape)
+        scale = max(np.linalg.norm(dense @ vec(mats)), 1.0)
+        assert np.linalg.norm(vec(op.apply(mats)) - dense @ vec(mats)) <= 1e-11 * scale
 
     def test_matches_dense_at_512(self):
         # largest size the dense-agreement contract covers: m*d^2 = 512
@@ -146,26 +131,29 @@ class TestApplyPenalized:
         blocks = gram_blocks(bundle)
         op = PenalizedOperator(blocks=blocks, laplacian=build_laplacian(g), lam=2.5)
         dense = dense_penalized_matrix(bundle, g, 2.5)
-        a = rng.standard_normal(op.size)
-        expected = dense @ a
-        assert np.linalg.norm(apply_penalized(op, a) - expected) \
+        mats = rng.standard_normal(op.shape)
+        expected = dense @ vec(mats)
+        assert np.linalg.norm(vec(op.apply(mats)) - expected) \
             <= 1e-10 * np.linalg.norm(expected)
 
     def test_operator_symmetry(self):
         rng = np.random.default_rng(10)
         op, _, _ = self._operator(rng, 4, 2, 6, 1.3)
         for _ in range(5):
-            u = rng.standard_normal(op.size)
-            v = rng.standard_normal(op.size)
-            lhs = float(apply_penalized(op, u) @ v)
-            rhs = float(u @ apply_penalized(op, v))
+            u = rng.standard_normal(op.shape)
+            v = rng.standard_normal(op.shape)
+            lhs = float(np.vdot(op.apply(u), v))
+            rhs = float(np.vdot(u, op.apply(v)))
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
-    def test_rejects_wrong_length(self):
+    def test_rejects_wrong_shape(self):
         rng = np.random.default_rng(11)
         op, _, _ = self._operator(rng, 3, 2, 4, 1.0)
-        with pytest.raises(ValueError, match="length"):
-            apply_penalized(op, np.zeros(op.size + 1))
+        for bad in (np.zeros((3, 2, 3)), np.zeros(3 * 2 * 2)):
+            with pytest.raises(ValueError, match="shape"):
+                op.apply(bad)
+            with pytest.raises(ValueError, match="shape"):
+                solve_spd(op, bad)
 
 
 class TestSolveSpd:
@@ -178,7 +166,7 @@ class TestSolveSpd:
         blocks = gram_blocks(bundle)
         op = PenalizedOperator(blocks=blocks,
                                laplacian=build_laplacian(path_graph(2)), lam=0.0)
-        rhs = np.arange(float(op.size))
+        rhs = np.arange(float(2 * d * d)).reshape(op.shape)
         sol, info = solve_spd(op, rhs)
         assert np.allclose(sol, rhs, atol=1e-10)
         assert info["residual"] <= 1e-10
@@ -194,10 +182,11 @@ class TestSolveSpd:
         lam = 0.7
         blocks = gram_blocks(bundle)
         op = PenalizedOperator(blocks=blocks, laplacian=build_laplacian(g), lam=lam)
-        rhs = rng.standard_normal(op.size)
+        rhs = rng.standard_normal(op.shape)
         sol, _ = solve_spd(op, rhs)
-        expected = np.linalg.solve(dense_penalized_matrix(bundle, g, lam), rhs)
-        assert np.allclose(sol, expected, atol=1e-8 * max(1.0, np.linalg.norm(expected)))
+        expected = np.linalg.solve(dense_penalized_matrix(bundle, g, lam), vec(rhs))
+        assert np.allclose(vec(sol), expected,
+                           atol=1e-8 * max(1.0, np.linalg.norm(expected)))
 
     def test_dense_and_cg_paths_agree(self):
         rng = np.random.default_rng(12)
@@ -205,7 +194,7 @@ class TestSolveSpd:
         g = path_graph(4)
         blocks = gram_blocks(bundle)
         op = PenalizedOperator(blocks=blocks, laplacian=build_laplacian(g), lam=2.0)
-        rhs = rng.standard_normal(op.size)
+        rhs = rng.standard_normal(op.shape)
         direct_sol, direct_info = SOLVERS["banded"](op, rhs)
         cg_sol, cg_info = SOLVERS["cg"](op, rhs)
         assert direct_info["solver"] == "banded_cholesky"
@@ -219,10 +208,10 @@ class TestSolveSpd:
         g = path_graph(3)
         blocks = gram_blocks(bundle)
         op = PenalizedOperator(blocks=blocks, laplacian=build_laplacian(g), lam=0.5)
-        rhs = rng.standard_normal(op.size)
+        rhs = rng.standard_normal(op.shape)
         for solve in SOLVERS.values():
             sol, info = solve(op, rhs)
-            res = np.linalg.norm(rhs - apply_penalized(op, sol)) / np.linalg.norm(rhs)
+            res = np.linalg.norm(rhs - op.apply(sol)) / np.linalg.norm(rhs)
             assert res <= 1e-9
             assert info["residual"] <= 1e-9
 
@@ -235,7 +224,7 @@ class TestSolveSpd:
         op = PenalizedOperator(blocks=blocks,
                                laplacian=build_laplacian(path_graph(3)), lam=0.0)
         with pytest.raises(SingularSystemError):
-            SOLVERS[solver](op, blocks.rhs())
+            SOLVERS[solver](op, blocks.cs.transpose(0, 2, 1))
 
     def test_banded_rejects_condition_past_working_precision(self):
         # Y_1 = Y_2 = 1 on two nodes: K = [[1 + lam, -lam], [-lam, 1 + lam]]
@@ -246,7 +235,7 @@ class TestSolveSpd:
         op = PenalizedOperator(blocks=blocks,
                                laplacian=build_laplacian(path_graph(2)), lam=1e15)
         with pytest.raises(SingularSystemError, match="rcond"):
-            _solve_banded(op, blocks.rhs())
+            _solve_banded(op, blocks.cs.transpose(0, 2, 1))
 
     def test_cg_nonconvergence_carries_residual(self):
         rng = np.random.default_rng(16)
@@ -254,7 +243,7 @@ class TestSolveSpd:
         blocks = gram_blocks(bundle)
         op = PenalizedOperator(blocks=blocks,
                                laplacian=build_laplacian(path_graph(4)), lam=1.0)
-        rhs = rng.standard_normal(op.size)
+        rhs = rng.standard_normal(op.shape)
         with pytest.raises(ConvergenceError) as err:
             _solve_cg(op, rhs, tol=1e-10, max_iter=2)
         assert err.value.residual > 0
@@ -274,11 +263,11 @@ class TestSolveSpd:
         bundle = random_bundle(rng, m, d, d + 2)
         blocks = gram_blocks(bundle)
         op = PenalizedOperator(blocks=blocks, laplacian=build_laplacian(g), lam=lam)
-        rhs = rng.standard_normal(op.size)
+        rhs = rng.standard_normal(op.shape)
         sol, info = _solve_banded(op, rhs)
-        expected = np.linalg.solve(dense_penalized_matrix(bundle, g, lam), rhs)
+        expected = np.linalg.solve(dense_penalized_matrix(bundle, g, lam), vec(rhs))
         assert info["solver"] == "banded_cholesky"
-        assert np.linalg.norm(sol - expected) <= 1e-8 * np.linalg.norm(expected)
+        assert np.linalg.norm(vec(sol) - expected) <= 1e-8 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("graph, m, expected", [
         (path_graph, 1000, "banded_cholesky"),
@@ -290,12 +279,12 @@ class TestSolveSpd:
         bundle = random_bundle(rng, m, d, 12)
         blocks = gram_blocks(bundle)
         op = PenalizedOperator(blocks=blocks, laplacian=build_laplacian(graph(m)), lam=1.0)
-        sol, info = solve_spd(op, blocks.rhs())
+        sol, info = solve_spd(op, blocks.cs.transpose(0, 2, 1))
         # the keys the benchmark's tracer reads
         assert info["solver"] == expected
         assert (info["iterations"] == 0) == (expected == "banded_cholesky")
         assert info["residual"] <= 1e-9
-        assert sol.shape == (m * d * d,)
+        assert sol.shape == (m, d, d)
 
 
 class TestPinvSolve:
@@ -318,6 +307,9 @@ class TestPinvSolve:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             pinv_solve(np.array([[1.0, 5.0], [0.0, 1.0]]), np.ones(2))
+        # a stack is checked matrix by matrix
+        with pytest.raises(ValueError, match="symmetric"):
+            pinv_solve(np.stack([np.eye(2), [[1.0, 5.0], [0.0, 1.0]]]), np.ones((2, 2)))
 
     @given(st.integers(min_value=1, max_value=5),
            st.integers(min_value=0, max_value=2**32 - 1))
@@ -346,3 +338,21 @@ class TestPinvSolve:
         for j in range(3):
             col, _ = pinv_solve(mat, rhs[:, j])
             assert np.allclose(sol[:, j], col, atol=1e-12)
+
+    def test_stack_matches_per_matrix_loop(self):
+        rng = np.random.default_rng(19)
+        k = 4
+        mats = np.zeros((5, k, k))  # the last one stays the zero matrix
+        # ranks are relative to each matrix's own largest eigenvalue
+        for i, (r, scale) in enumerate(((4, 1.0), (3, 1e3), (1, 1.0), (2, 1e-20))):
+            f = rng.standard_normal((k, r))
+            mats[i] = scale * (f @ f.T)
+        rhs = rng.standard_normal((5, k, 3))
+        sol, ranks = pinv_solve(mats, rhs)
+        vec_sol, vec_ranks = pinv_solve(mats, rhs[..., 0])
+        assert ranks.tolist() == vec_ranks.tolist() == [4, 3, 1, 2, 0]
+        for i in range(5):
+            one, rank = pinv_solve(mats[i], rhs[i])
+            assert type(rank) is int and rank == ranks[i]
+            assert np.allclose(sol[i], one, rtol=1e-12, atol=1e-12)
+            assert np.allclose(vec_sol[i], one[:, 0], rtol=1e-12, atol=1e-12)
