@@ -3,7 +3,7 @@
 family: generate, normalize, simulate, estimate, and tabulate mean RMSE
 versus the number of nodes.
 
-Desk-scale by default (a subset of m values, a couple of minutes); pass
+Desk-scale by default (a subset of m values, a few seconds); pass
 --full for the complete grid m in {5,10,20,40,60,80,100,150}. Writes the
 per-trial CSV, per-method mean/std tables, and prints a summary.
 """

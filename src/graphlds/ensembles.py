@@ -15,8 +15,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import path_graph, quadratic_variation
-
 # simulation aborts rather than emit infs when states pass this magnitude
 OVERFLOW_LIMIT = 1e150
 
@@ -121,23 +119,14 @@ class TrajectoryBundle:
         return self.states[l, :, 1:]
 
 
-def benchmark_entry_function(i: int, j: int, d: int, beta: float):
-    """Built-in Hoelder-continuous benchmark family:
-    f_{i,j}(x) = 4 x^beta - sin(2 pi i j x / d), 1-based i, j."""
-
-    def f(x: float) -> float:
-        return 4.0 * x**beta - math.sin(2.0 * math.pi * i * j * x / d)
-
-    return f
-
-
 def sample_holder_ensemble(m: int, d: int, beta: float,
                            family: str = "benchmark",
                            functions=None) -> SystemEnsemble:
     """Sample entry (i, j) of A_l as f_{i,j}(l/m).
 
-    family "benchmark" uses the built-in smooth family; family "user"
-    takes functions(i, j, x) -> float with 1-based i, j. The smoothness
+    family "benchmark" uses the built-in smooth family
+    f_{i,j}(x) = 4 x^beta - sin(2 pi i j x / d); family "user" takes
+    functions(i, j, x) -> float. Both use 1-based i, j. The smoothness
     budget s_m is recorded as the quadratic variation on the path graph.
     """
     if m < 2:
@@ -147,21 +136,20 @@ def sample_holder_ensemble(m: int, d: int, beta: float,
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
     if family == "benchmark":
-        entry = lambda i, j, x: benchmark_entry_function(i, j, d, beta)(x)
+        x = (np.arange(1, m + 1) / m)[:, None, None]
+        i = np.arange(1, d + 1)[:, None]
+        j = np.arange(1, d + 1)
+        # same left-to-right operation order as the scalar formula
+        mats = 4.0 * x**beta - np.sin(2.0 * math.pi * i * j * x / d)
     elif family == "user":
         if functions is None:
             raise ValueError("family='user' requires a functions(i, j, x) callable")
-        entry = functions
+        mats = np.array([[[functions(i, j, l / m) for j in range(1, d + 1)]
+                          for i in range(1, d + 1)] for l in range(1, m + 1)], dtype=float)
     else:
         raise ValueError(f"unknown family {family!r}")
-
-    mats = np.empty((m, d, d))
-    for l in range(1, m + 1):
-        x = l / m
-        for i in range(1, d + 1):
-            for j in range(1, d + 1):
-                mats[l - 1, i - 1, j - 1] = entry(i, j, x)
-    s_m = quadratic_variation(mats, path_graph(m))
+    diff = np.diff(mats, axis=0)  # path-graph edges (l, l + 1)
+    s_m = float(np.einsum("eab,eab->", diff, diff))
     return SystemEnsemble(mats=mats, meta=EnsembleMeta(beta=beta, s_m=s_m))
 
 
@@ -200,26 +188,25 @@ def _node_rng(seed, l: int) -> np.random.Generator:
 def simulate(e: SystemEnsemble, horizon: int, noise: NoiseModel | None = None,
              seed: int = 0) -> TrajectoryBundle:
     """Run each node's recursion for T = horizon steps, returning
-    x_{l,1} .. x_{l,T+1} (x_{l,0} = 0, so x_{l,1} is pure noise)."""
+    x_{l,1} .. x_{l,T+1} (x_{l,0} = 0, so x_{l,1} is pure noise).
+
+    If a state passes OVERFLOW_LIMIT, SimulationOverflowError names the
+    earliest such step and the lowest-numbered node over the limit there.
+    """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     noise = noise or NoiseModel()
-    m, d = e.m, e.d
-    states = np.empty((m, d, horizon + 1))
-    for l in range(m):
-        rng = _node_rng(seed, l)
-        eta = noise.draw(rng, d, horizon + 1)  # eta_1 .. eta_{T+1}
-        a = e.mats[l]
-        x = eta[:, 0].copy()
-        states[l, :, 0] = x
-        for t in range(1, horizon + 1):
-            x = a @ x + eta[:, t]
-            if np.max(np.abs(x)) > OVERFLOW_LIMIT:
-                raise SimulationOverflowError(
-                    f"state magnitude exceeded {OVERFLOW_LIMIT:g} at node {l + 1}, "
-                    f"step {t}; the ensemble is explosive — normalize it or shorten T"
-                )
-            states[l, :, t] = x
+    # eta_{l,1} .. eta_{l,T+1}; x_{l,t+1} overwrites eta_{l,t+1} in place
+    states = np.stack([noise.draw(_node_rng(seed, l), e.d, horizon + 1)
+                       for l in range(e.m)])
+    for t in range(1, horizon + 1):
+        states[:, :, t] += (e.mats @ states[:, :, t - 1, None])[:, :, 0]
+        over = np.flatnonzero(np.any(np.abs(states[:, :, t]) > OVERFLOW_LIMIT, axis=1))
+        if over.size:
+            raise SimulationOverflowError(
+                f"state magnitude exceeded {OVERFLOW_LIMIT:g} at node {over[0] + 1}, "
+                f"step {t}; the ensemble is explosive — normalize it or shorten T"
+            )
     return TrajectoryBundle(states=states, seed=seed)
 
 
@@ -263,20 +250,16 @@ def gamma_diagnostics(e: SystemEnsemble, horizon: int, delta: float,
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     m, d = e.m, e.d
-    per_node_lo = np.empty(m)  # sum over t = 0 .. T-1 of tr(Gamma_t)
+    power = np.broadcast_to(np.eye(d), e.mats.shape)  # A_l^t for every node
+    tr_running = np.full(m, float(d))  # tr(Gamma_t(A_l)); tr(Gamma_0) = d
+    per_node_lo = np.full(m, float(d))  # sum over t = 0 .. T-1 of tr(Gamma_t)
     gamma2 = 0.0
-    for l in range(m):
-        a = e.mats[l]
-        power = np.eye(d)
-        tr_running = float(d)  # tr(Gamma_0) = d
-        lo_sum = float(d)
-        for t in range(1, horizon + 1):
-            power = a @ power
-            tr_running += float(np.sum(power * power))
-            gamma2 += tr_running - d
-            if t <= horizon - 1:
-                lo_sum += tr_running
-        per_node_lo[l] = lo_sum
+    for t in range(1, horizon + 1):
+        power = e.mats @ power
+        tr_running += np.einsum("lab,lab->l", power, power)
+        gamma2 += float(np.sum(tr_running - d))
+        if t <= horizon - 1:
+            per_node_lo += tr_running
     gamma1 = (1.0 + r**2 * math.log(m / delta)) * float(np.max(per_node_lo))
     gamma3 = float(np.sum(per_node_lo))
     return GammaDiagnostics(gamma1=gamma1, gamma2=gamma2, gamma3=gamma3)

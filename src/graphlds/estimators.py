@@ -130,7 +130,9 @@ def _subspace_core(blocks: GramBlocks, basis: np.ndarray):
     """
     m, d = blocks.m, blocks.d
     tau = basis.shape[1]
-    bmat = np.einsum("lj,lk,lcd->jckd", basis, basis, blocks.ys).reshape(tau * d, tau * d)
+    pairs = (basis[:, :, None] * basis[:, None, :]).reshape(m, tau * tau)
+    bmat = (pairs.T @ blocks.ys.reshape(m, d * d)).reshape(tau, tau, d, d)
+    bmat = bmat.transpose(0, 2, 1, 3).reshape(tau * d, tau * d)
     proj = (basis.T @ blocks.cs.reshape(m, d * d)).reshape(tau, d, d)
     z, rank = pinv_solve(bmat, proj.transpose(0, 2, 1).reshape(tau * d, d))
     mats = (basis @ z.reshape(tau, d * d)).reshape(m, d, d)

@@ -13,6 +13,7 @@ artifact never depends on scheduling.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -33,7 +34,7 @@ from .ensembles import (
     simulate,
 )
 from .estimators import LambdaRule, Method, TauRule, lambda_rule, mse, tau_rule
-from .graphs import GraphKind, build_laplacian, named_graph, spectrum
+from .graphs import GraphKind, LaplacianSpectrum, build_laplacian, named_graph, spectrum
 
 PLAN_SCHEMA_VERSION = 1
 CSV_HEADER = ["m", "trial", "method", "hyper", "rmse", "mse",
@@ -202,7 +203,7 @@ RULE_DELTA = 0.1
 
 
 def _resolve_hyper(ms: MethodSpec, plan: ExperimentPlan, m: int,
-                   truth, spec) -> float | None:
+                   truth) -> float | None:
     """Evaluate the method's rule with everything a trial knows: the
     smoothness budget of the sampled truth, its hub-mode energy for the
     star rule, and its trajectory-energy sum for the subspace rule."""
@@ -212,7 +213,8 @@ def _resolve_hyper(ms: MethodSpec, plan: ExperimentPlan, m: int,
         rule = LambdaRule(ms.rule or "benchmark")
         if rule == LambdaRule.BENCHMARK:
             return lambda_rule(rule, m=m, beta=plan.beta)
-        p1 = est.hub_mode_energy(truth, spec) if rule == LambdaRule.STAR_THEORY else None
+        p1 = (est.hub_mode_energy(truth, _spectrum(plan.graph, m))
+              if rule == LambdaRule.STAR_THEORY else None)
         return lambda_rule(rule, m=m, d=plan.d, horizon=plan.horizon,
                            s_m=truth.meta.s_m, p1=p1)
     if ms.method == Method.SUBSPACE_LS:
@@ -227,13 +229,25 @@ def _resolve_hyper(ms: MethodSpec, plan: ExperimentPlan, m: int,
     return None
 
 
+# the graph and its spectrum depend on (kind, m) alone: the trials at one m share them
+_graph = functools.lru_cache(maxsize=1)(named_graph)
+
+
+@functools.lru_cache(maxsize=1)
+def _spectrum(kind: GraphKind, m: int) -> LaplacianSpectrum:
+    """The Laplacian spectrum of _graph(kind, m), with read-only arrays."""
+    spec = spectrum(build_laplacian(_graph(kind, m)))
+    spec.eigenvalues.flags.writeable = False
+    spec.eigenvectors.flags.writeable = False
+    return spec
+
+
 def run_trial(plan: ExperimentPlan, m: int, trial: int,
               seed: int | None = None) -> list[MetricRow]:
     """Run every method of the plan on one freshly simulated trial."""
     truth = normalize_spectral_radius(
         sample_holder_ensemble(m, plan.d, plan.beta, family="benchmark"))
-    g = named_graph(plan.graph, m)
-    spec = spectrum(build_laplacian(g))
+    g = _graph(plan.graph, m)
     noise = NoiseModel(kind=plan.noise)
     seed = trial_seed(plan.seed, m, trial) if seed is None else seed
     bundle = simulate(truth, plan.horizon, noise, seed=seed)
@@ -242,9 +256,10 @@ def run_trial(plan: ExperimentPlan, m: int, trial: int,
         hyper = None
         start = time.perf_counter()
         try:  # record failures without aborting the plan
-            hyper = _resolve_hyper(ms, plan, m, truth, spec)
+            hyper = _resolve_hyper(ms, plan, m, truth)
             lam = hyper if ms.method == Method.LAPLACIAN_SMOOTHING else None
             tau = int(hyper) if ms.method == Method.SUBSPACE_LS else None
+            spec = _spectrum(plan.graph, m) if tau is not None else None
             result = est.estimate(bundle, g, est.EstimatorConfig(ms.method, lam=lam, tau=tau),
                                   spec=spec)
             trial_mse = mse(result, truth)

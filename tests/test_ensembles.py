@@ -47,6 +47,30 @@ class TestSampling:
         assert e.meta.s_m == pytest.approx(
             quadratic_variation(e.mats, path_graph(8)), rel=1e-12)
 
+    @pytest.mark.parametrize("m", [2, 5, 37, 400])
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 1.0])
+    def test_closed_form_matches_scalar_formula(self, m, d, beta):
+        e = sample_holder_ensemble(m, d, beta)
+        expected = np.empty((m, d, d))
+        for l in range(1, m + 1):
+            x = l / m
+            for i in range(1, d + 1):
+                for j in range(1, d + 1):
+                    expected[l - 1, i - 1, j - 1] = (
+                        4.0 * x**beta - math.sin(2.0 * math.pi * i * j * x / d))
+        # numpy's vectorized sin may differ from libm's by 1 ulp
+        assert np.max(np.abs(e.mats - expected)) <= 4e-15
+        assert e.meta.s_m == pytest.approx(
+            quadratic_variation(e.mats, path_graph(m)), rel=1e-12)
+
+    def test_user_family_budget_matches_quadratic_variation(self):
+        e = sample_holder_ensemble(9, 2, 1.0, family="user",
+                                   functions=lambda i, j, x: i * x**2 - j * x)
+        assert e.mats[3, 1, 0] == pytest.approx(2 * (4 / 9) ** 2 - 4 / 9, rel=1e-15)
+        assert e.meta.s_m == pytest.approx(
+            quadratic_variation(e.mats, path_graph(9)), rel=1e-12)
+
     def test_lipschitz_budget_shrinks_with_m(self):
         budgets = [sample_holder_ensemble(m, 4, 1.0).meta.s_m for m in (10, 20, 40)]
         assert budgets[1] < budgets[0]
@@ -154,6 +178,41 @@ class TestSimulate:
         with pytest.raises(SimulationOverflowError):
             simulate(e, 200, seed=0)
 
+    def test_overflow_names_explosive_node(self):
+        mats = 0.5 * np.eye(2)[None, :, :].repeat(3, axis=0)
+        mats[1] = 10.0 * np.eye(2)
+        with pytest.raises(SimulationOverflowError, match="node 2,"):
+            simulate(SystemEnsemble(mats=mats), 400, seed=0)
+
+    def test_overflow_reports_earliest_step(self):
+        # |x_{t+1}| is a^t to within 0.1%: a = 1e4 first passes 1e150 at
+        # step 38, a = 1e7 at step 22. Node 3 crosses first; at equal rates
+        # the lower-numbered node is named
+        mats = np.zeros((3, 1, 1))
+        mats[1, 0, 0], mats[2, 0, 0] = 1e4, 1e7
+        rademacher = NoiseModel(NoiseKind.RADEMACHER)
+        with pytest.raises(SimulationOverflowError, match="node 3, step 22;"):
+            simulate(SystemEnsemble(mats=mats), 400, rademacher)
+        mats[2, 0, 0] = 1e4
+        with pytest.raises(SimulationOverflowError, match="node 2, step 38;"):
+            simulate(SystemEnsemble(mats=mats), 400, rademacher)
+
+    @pytest.mark.parametrize("kind", [NoiseKind.GAUSSIAN_UNIT, NoiseKind.RADEMACHER])
+    def test_batched_matches_per_node_loop(self, kind):
+        e = normalize_spectral_radius(sample_holder_ensemble(400, 10, 0.5))
+        noise = NoiseModel(kind=kind)
+        b = simulate(e, 7, noise, seed=99)
+        expected = np.empty_like(b.states)
+        for l in range(e.m):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=99, spawn_key=(l,)))
+            eta = noise.draw(rng, e.d, 8)
+            x = eta[:, 0].copy()
+            expected[l, :, 0] = x
+            for t in range(1, 8):
+                x = e.mats[l] @ x + eta[:, t]
+                expected[l, :, t] = x
+        assert np.array_equal(b.states, expected)
+
     @pytest.mark.parametrize("kind", [NoiseKind.GAUSSIAN_UNIT, NoiseKind.RADEMACHER])
     def test_first_state_unit_variance(self, kind):
         # x_1 = eta_1 and nodes are independent: 1000 nodes x 100 coords
@@ -222,6 +281,27 @@ class TestGammaDiagnostics:
         assert gam.gamma1 == pytest.approx(g1, rel=1e-10)
         assert gam.gamma2 == pytest.approx(g2, rel=1e-10, abs=1e-12)
         assert gam.gamma3 == pytest.approx(sum(lo), rel=1e-10)
+
+    def test_batched_matches_per_node_loop(self):
+        e = normalize_spectral_radius(sample_holder_ensemble(37, 4, 0.5))
+        horizon, delta, r = 6, 0.05, 1.5
+        gam = gamma_diagnostics(e, horizon, delta=delta, r=r)
+        per_node_lo = np.empty(e.m)
+        gamma2 = 0.0
+        for l in range(e.m):
+            power = np.eye(e.d)
+            tr_running = lo_sum = float(e.d)
+            for t in range(1, horizon + 1):
+                power = e.mats[l] @ power
+                tr_running += float(np.sum(power * power))
+                gamma2 += tr_running - e.d
+                if t <= horizon - 1:
+                    lo_sum += tr_running
+            per_node_lo[l] = lo_sum
+        g1 = (1.0 + r**2 * math.log(e.m / delta)) * float(np.max(per_node_lo))
+        assert gam.gamma1 == pytest.approx(g1, rel=1e-13)
+        assert gam.gamma2 == pytest.approx(gamma2, rel=1e-13)
+        assert gam.gamma3 == pytest.approx(float(np.sum(per_node_lo)), rel=1e-13)
 
     def test_rejects_bad_delta(self):
         e = SystemEnsemble(mats=np.zeros((2, 2, 2)))

@@ -27,7 +27,9 @@ from graphlds import (
     subspace_ls,
     tau_rule,
 )
+from graphlds import estimators as estimators_module
 from graphlds.graphs import LaplacianSpectrum
+from graphlds.solver import gram_blocks, pinv_solve
 from oracles import (
     oracle_laplacian,
     oracle_minnorm_ls,
@@ -222,6 +224,23 @@ class TestSubspaceLS:
         assert mid.diagnostics["basis_dependent"]
         assert not subspace_ls(bundle, spec, 1).diagnostics["basis_dependent"]
         assert not subspace_ls(bundle, spec, 5).diagnostics["basis_dependent"]
+
+    @pytest.mark.parametrize("m, d, tau", [(2, 1, 1), (7, 3, 4), (60, 10, 6)])
+    def test_subspace_matrix_matches_einsum(self, monkeypatch, m, d, tau):
+        bundle = random_bundle(np.random.default_rng(36), m, d, 5)
+        spec = spectrum(build_laplacian(path_graph(m)))
+        seen = []
+
+        def capture(mat, rhs):
+            seen.append(mat)
+            return pinv_solve(mat, rhs)
+
+        monkeypatch.setattr(estimators_module, "pinv_solve", capture)
+        subspace_ls(bundle, spec, tau)
+        w = spec.low_frequency_basis(tau)
+        expected = np.einsum("lj,lk,lcd->jckd", w, w,
+                             gram_blocks(bundle).ys).reshape(tau * d, tau * d)
+        assert rel_err(seen[0], expected) <= 1e-13
 
     def test_rejects_tau_out_of_range(self):
         bundle = random_bundle(np.random.default_rng(0), 3, 2, 4)

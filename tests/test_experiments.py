@@ -24,6 +24,7 @@ from graphlds import (
     trial_seed,
     write_plot_data,
 )
+from graphlds import estimators, experiments, graphs
 from graphlds.experiments import ExperimentPlan
 
 
@@ -184,6 +185,38 @@ class TestRunPlan:
         (row,) = run_plan(plan)
         assert row.status == "ok"
         assert row.hyper is not None and row.hyper > 0
+
+    def test_laplacian_only_plan_skips_spectrum(self, monkeypatch):
+        lap = MethodSpec(method=Method.LAPLACIAN_SMOOTHING, rule="benchmark")
+        both = small_plan(m_values=(4, 6), methods=(
+            lap, MethodSpec(method=Method.SUBSPACE_LS, rule="benchmark")))
+        expected = [r for r in run_plan(both) if r.method == "laplacian"]
+        calls = []
+
+        def counted(lap_matrix):
+            calls.append(lap_matrix.shape)
+            return graphs.spectrum(lap_matrix)
+
+        for module in (experiments, estimators):
+            monkeypatch.setattr(module, "spectrum", counted)
+        experiments._spectrum.cache_clear()
+        rows = list(run_plan(small_plan(m_values=(4, 6), methods=(lap,))))
+        assert calls == []
+        assert rows_to_csv(rows) == rows_to_csv(expected)
+        star = small_plan(graph=GraphKind.STAR, m_values=(5,), methods=(
+            MethodSpec(method=Method.LAPLACIAN_SMOOTHING, rule="star"),))
+        assert all(r.status == "ok" for r in run_plan(star))
+        assert calls == [(5, 5)]  # once per m, shared by both trials
+
+    def test_trial_repeatable_with_shared_read_only_spectrum(self):
+        plan = small_plan(m_values=(7,))
+        first = run_trial(plan, 7, 1)
+        assert run_trial(plan, 7, 1) == first
+        spec = experiments._spectrum(plan.graph, 7)
+        for arr in (spec.eigenvalues, spec.eigenvectors):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+        assert run_trial(plan, 7, 1) == first
 
     def test_estimator_error_recorded_not_raised(self):
         # lam = 0 with T < d is singular: the row must carry the error
